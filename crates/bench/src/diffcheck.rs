@@ -1,24 +1,21 @@
-//! Differential checking: the Staged batch pipeline against the
-//! Serial reference path.
+//! The golden corpus: a breadth check that the engine's simulated
+//! results never drift.
 //!
-//! The engine's data-oriented core runs each event batch stage by
-//! stage (`PipelineMode::Staged`); the event-at-a-time
-//! path (`PipelineMode::Serial`) is kept as the
-//! reference semantics. The two must be *bit-identical* — not merely
-//! statistically close — because every `BENCH_*.json` baseline was
-//! recorded against the serial semantics. This module runs the same
-//! experiment under both modes and compares the full `Debug` rendering
-//! of the report: every scalar, timeline point, marker, degradation
-//! metric and per-tenant section, floats included.
+//! The corpus crosses every workload kind (Fig. 11 set plus Redis)
+//! with every [`PolicyBox`] dispatch class and four run shapes. Each
+//! case hashes the full `Debug` rendering of its report — every
+//! scalar, timeline point, marker, degradation metric and per-tenant
+//! section, floats included — into one FNV-1a digest. The engine's
+//! `differential` test pins every digest against a checked-in file
+//! with one `label digest` line per case, so any change to simulated
+//! behaviour anywhere in the corpus fails with the first case it
+//! touched. Every `BENCH_*.json` baseline was recorded against the
+//! same semantics.
 //!
-//! Used from two places: the `differential` figure (release-mode CI
-//! gate, `neomem-bench differential --threads N`) and the engine
-//! crate's own `differential` integration test (debug-mode, runs on
-//! every `cargo test`).
-
-use std::fmt::Debug;
+//! [`PolicyBox`]: neomem::policies::PolicyBox
 
 use neomem::prelude::*;
+use neomem::sim::snapshot::fingerprint_str;
 use neomem::sketch::SketchParams;
 
 /// Cadence divisor matching the figure-harness convention: Table V's
@@ -26,8 +23,8 @@ use neomem::sketch::SketchParams;
 /// exercise many policy decisions.
 const TIME_SCALE: u64 = 1000;
 
-/// Per-tenant footprint in pages. Small on purpose: the harness is a
-/// breadth check over the whole (workload × policy × shape) corpus,
+/// Per-tenant footprint in pages. Small on purpose: the corpus is a
+/// breadth check over the whole (workload × policy × shape) space,
 /// not a convergence study.
 const RSS_PAGES: u64 = 1024;
 
@@ -53,7 +50,7 @@ impl DiffShape {
     pub const ALL: [DiffShape; 4] =
         [DiffShape::SingleTenant, DiffShape::CoRun, DiffShape::MidFault, DiffShape::MidPhase];
 
-    /// Short label for case names and tables.
+    /// Short label for case names.
     pub fn label(self) -> &'static str {
         match self {
             DiffShape::SingleTenant => "single",
@@ -65,8 +62,7 @@ impl DiffShape {
 }
 
 /// The policies the corpus exercises: one per [`PolicyBox`] dispatch
-/// class, so every engine fast path *and* the serial fallback for
-/// hint-fault policies gets differential coverage.
+/// class, hint-fault policies included.
 ///
 /// [`PolicyBox`]: neomem::policies::PolicyBox
 pub fn policies() -> Vec<PolicyKind> {
@@ -79,64 +75,6 @@ pub fn policies() -> Vec<PolicyKind> {
         PolicyKind::Tpp,
         PolicyKind::FirstTouch,
     ]
-}
-
-/// One differential case: the serial and staged `Debug` renderings of
-/// the same experiment.
-#[derive(Debug, Clone)]
-pub struct Differential {
-    /// `workload/policy/shape` case name.
-    pub label: String,
-    /// Report rendering under [`PipelineMode::Serial`].
-    pub serial: String,
-    /// Report rendering under [`PipelineMode::Staged`].
-    pub staged: String,
-}
-
-impl Differential {
-    /// Whether the two pipelines produced byte-identical reports.
-    pub fn is_identical(&self) -> bool {
-        self.serial == self.staged
-    }
-
-    /// Panics with the first divergent region when the renderings
-    /// differ. Whole reports run to tens of kilobytes, so the message
-    /// excerpts around the first mismatching byte instead of dumping
-    /// both sides.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the staged pipeline diverged from the serial
-    /// reference.
-    pub fn assert_identical(&self) {
-        if self.is_identical() {
-            return;
-        }
-        let at = self
-            .serial
-            .bytes()
-            .zip(self.staged.bytes())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| self.serial.len().min(self.staged.len()));
-        fn boundary(s: &str, mut i: usize) -> usize {
-            i = i.min(s.len());
-            while !s.is_char_boundary(i) {
-                i -= 1;
-            }
-            i
-        }
-        let window = |s: &str| {
-            let view = &s[boundary(s, at.saturating_sub(120))..];
-            view[..boundary(view, 280)].to_string()
-        };
-        panic!(
-            "{}: staged pipeline diverged from the serial reference at byte {at}\n\
-             serial: …{}…\nstaged: …{}…",
-            self.label,
-            window(&self.serial),
-            window(&self.staged),
-        );
-    }
 }
 
 /// The full corpus: every workload kind (Fig. 11 set plus Redis) ×
@@ -155,69 +93,114 @@ pub fn corpus() -> Vec<(WorkloadKind, PolicyKind, DiffShape)> {
     cases
 }
 
-/// Runs one corpus case under both pipeline modes.
+/// The `workload/policy/shape` name of one corpus case.
+pub fn case_label(kind: WorkloadKind, policy: PolicyKind, shape: DiffShape) -> String {
+    format!("{}/{}/{}", kind.label(), policy.label(), shape.label())
+}
+
+/// Runs one corpus case and returns the FNV-1a digest of its report's
+/// `Debug` rendering.
 ///
 /// `budget` is the access count of a single-tenant run; co-run shapes
-/// double it so each tenant still gets the full budget.
+/// double it so each tenant still gets the full budget. `batch_size`
+/// overrides the config's workload batch size (`None` keeps the
+/// default); any value must give the same digest.
 ///
 /// # Panics
 ///
-/// Panics when the case itself cannot be built — a corpus bug, not a
-/// differential finding.
-pub fn diff_case(
-    kind: WorkloadKind,
-    policy: PolicyKind,
-    shape: DiffShape,
-    budget: u64,
-) -> Differential {
-    diff_case_batched(kind, policy, shape, budget, None)
-}
-
-/// [`diff_case`] with an explicit workload batch size. Chunks never
-/// cross a batch boundary, so adversarial sizes (1, 2, and the default
-/// cap ± 1) steer the staged pipeline into degenerate and off-by-one
-/// chunk tails — exactly where SWAR tail handling and admission
-/// arithmetic would slip. `None` keeps the config's default.
-pub fn diff_case_batched(
+/// Panics when the case itself cannot be built — a corpus bug, not an
+/// engine finding.
+pub fn digest_case(
     kind: WorkloadKind,
     policy: PolicyKind,
     shape: DiffShape,
     budget: u64,
     batch_size: Option<usize>,
-) -> Differential {
-    let label = match batch_size {
-        Some(b) => format!("{}/{}/{}/batch{}", kind.label(), policy.label(), shape.label(), b),
-        None => format!("{}/{}/{}", kind.label(), policy.label(), shape.label()),
-    };
-    let run = |pipeline| match shape {
-        DiffShape::SingleTenant => run_single(kind, policy, pipeline, budget, None, batch_size),
+) -> u64 {
+    let report = match shape {
+        DiffShape::SingleTenant => run_single(kind, policy, budget, None, batch_size),
         DiffShape::MidFault => {
-            run_single(kind, policy, pipeline, budget, Some(mid_run_faults()), batch_size)
+            run_single(kind, policy, budget, Some(mid_run_faults()), batch_size)
         }
-        DiffShape::CoRun => run_corun(kind, policy, pipeline, budget, false, batch_size),
-        DiffShape::MidPhase => run_corun(kind, policy, pipeline, budget, true, batch_size),
+        DiffShape::CoRun => run_corun(kind, policy, budget, false, batch_size),
+        DiffShape::MidPhase => run_corun(kind, policy, budget, true, batch_size),
     };
-    Differential { label, serial: run(PipelineMode::Serial), staged: run(PipelineMode::Staged) }
+    fingerprint_str(&report)
 }
 
-/// Runs the whole corpus on the deterministic worker pool and returns
-/// the per-case differentials in corpus order.
-pub fn run_corpus(threads: usize, budget: u64) -> Vec<Differential> {
-    let cases = corpus();
+/// Runs the corpus cases of one run shape on the deterministic worker
+/// pool and returns `(label, digest)` pairs in corpus order.
+pub fn run_shape(threads: usize, budget: u64, shape: DiffShape) -> Vec<(String, u64)> {
+    let cases: Vec<_> = corpus().into_iter().filter(|&(_, _, s)| s == shape).collect();
     neomem_runner::run_labeled(
         &cases,
         threads,
+        |_, &(kind, policy, shape)| case_label(kind, policy, shape),
         |_, &(kind, policy, shape)| {
-            format!("diff/{}/{}/{}", kind.label(), policy.label(), shape.label())
+            (case_label(kind, policy, shape), digest_case(kind, policy, shape, budget, None))
         },
-        |_, &(kind, policy, shape)| diff_case(kind, policy, shape, budget),
     )
 }
 
+/// Renders digests in the golden-file format: one `label digest` line
+/// per case, the digest as 16 hex digits.
+fn render(digests: &[(String, u64)]) -> String {
+    digests.iter().map(|(label, digest)| format!("{label} {digest:016x}\n")).collect()
+}
+
+/// The lines of the golden file text that record `shape`'s cases, in
+/// file order.
+pub fn golden_shape(golden: &str, shape: DiffShape) -> String {
+    golden
+        .lines()
+        .filter(|line| {
+            let label = line.rsplit_once(' ').map_or(*line, |(label, _)| label);
+            label.rsplit('/').next() == Some(shape.label())
+        })
+        .map(|line| format!("{line}\n"))
+        .collect()
+}
+
+/// The digest the golden file text records for `label`, if any.
+pub fn golden_digest(golden: &str, label: &str) -> Option<u64> {
+    golden.lines().find_map(|line| {
+        let (l, hex) = line.rsplit_once(' ')?;
+        if l == label {
+            u64::from_str_radix(hex, 16).ok()
+        } else {
+            None
+        }
+    })
+}
+
+/// Panics unless `digests` match the `golden` file text line for line.
+///
+/// # Panics
+///
+/// Panics on any difference, naming the first differing case and
+/// printing the regenerated lines, which replace the matching lines of
+/// the golden file when a change to simulated results is intended.
+pub fn assert_identical(golden: &str, digests: &[(String, u64)]) {
+    let current = render(digests);
+    if current.lines().eq(golden.lines()) {
+        return;
+    }
+    let (mut now, mut was) = (current.lines(), golden.lines());
+    let label = loop {
+        let (a, b) = (now.next(), was.next());
+        if a != b {
+            let line = a.or(b).unwrap_or_default();
+            break line.rsplit_once(' ').map_or(line, |(label, _)| label);
+        }
+    };
+    panic!(
+        "corpus digests differ from the golden file, first at case {label:?}\n\
+         regenerated golden lines:\n{current}"
+    );
+}
+
 /// Policy construction shared by all shapes. The sketch override keeps
-/// NeoMem's NeoProf device at test scale — differential equality only
-/// needs both pipelines to see the same device, not the paper-sized
-/// one.
+/// NeoMem's NeoProf device at test scale.
 fn case_policy(policy: PolicyKind, config: &SimConfig) -> neomem::policies::PolicyBox {
     let overrides = PolicyOverrides { sketch: Some(SketchParams::small()), ..Default::default() };
     build_policy(policy, config, TIME_SCALE, overrides).expect("corpus policy builds")
@@ -237,13 +220,11 @@ fn mid_run_faults() -> FaultPlan {
 fn run_single(
     kind: WorkloadKind,
     policy: PolicyKind,
-    pipeline: PipelineMode,
     budget: u64,
     faults: Option<FaultPlan>,
     batch_size: Option<usize>,
 ) -> String {
-    let mut config =
-        SimConfig { max_accesses: budget, pipeline, ..SimConfig::quick(RSS_PAGES, 2) };
+    let mut config = SimConfig { max_accesses: budget, ..SimConfig::quick(RSS_PAGES, 2) };
     if let Some(batch) = batch_size {
         config.batch_size = batch;
     }
@@ -259,7 +240,6 @@ fn run_single(
 fn run_corun(
     kind: WorkloadKind,
     policy: PolicyKind,
-    pipeline: PipelineMode,
     budget: u64,
     phased: bool,
     batch_size: Option<usize>,
@@ -271,7 +251,6 @@ fn run_corun(
         .expect("corpus mix builds");
     let mut config = CoRunConfig::quick(&mix, 2);
     config.sim.max_accesses = budget * 2;
-    config.sim.pipeline = pipeline;
     if let Some(batch) = batch_size {
         config.sim.batch_size = batch;
     }
@@ -307,22 +286,41 @@ mod tests {
 
     #[test]
     fn assert_identical_names_the_divergence() {
-        let d = Differential {
-            label: "gups/NeoMem/single".into(),
-            serial: "RunReport { accesses: 100 }".into(),
-            staged: "RunReport { accesses: 101 }".into(),
+        let golden = "gups/NeoMem/single 0000000000000001\ngups/PEBS/single 0000000000000002\n";
+        let mut digests =
+            vec![("gups/NeoMem/single".to_string(), 1), ("gups/PEBS/single".to_string(), 2)];
+        assert_identical(golden, &digests);
+        assert_eq!(golden_digest(golden, "gups/PEBS/single"), Some(2));
+
+        let failure = |digests: &[(String, u64)]| {
+            let err = std::panic::catch_unwind(|| assert_identical(golden, digests))
+                .expect_err("a divergent corpus must panic");
+            err.downcast_ref::<String>().expect("string payload").clone()
         };
-        assert!(!d.is_identical());
-        let err = std::panic::catch_unwind(|| d.assert_identical())
-            .expect_err("divergent case must panic");
-        let msg = err.downcast_ref::<String>().expect("string payload");
-        assert!(msg.contains("gups/NeoMem/single"), "{msg}");
-        assert!(msg.contains("diverged"), "{msg}");
+        let msg = failure(&digests[..1]);
+        assert!(msg.contains("first at case \"gups/PEBS/single\""), "{msg}");
+        digests[1].1 = 3;
+        let msg = failure(&digests);
+        assert!(msg.contains("first at case \"gups/PEBS/single\""), "{msg}");
+        assert!(msg.contains("gups/PEBS/single 0000000000000003"), "{msg}");
+    }
+
+    #[test]
+    fn golden_shape_keeps_only_that_shapes_lines() {
+        let golden = "gups/NeoMem/single 01\ngups/NeoMem/corun 02\nbtree/PEBS/single 03\n";
+        assert_eq!(
+            golden_shape(golden, DiffShape::SingleTenant),
+            "gups/NeoMem/single 01\nbtree/PEBS/single 03\n"
+        );
+        assert_eq!(golden_shape(golden, DiffShape::CoRun), "gups/NeoMem/corun 02\n");
+        assert_eq!(golden_shape(golden, DiffShape::MidFault), "");
     }
 
     #[test]
     fn one_case_runs_identically() {
-        diff_case(WorkloadKind::Gups, PolicyKind::FirstTouch, DiffShape::SingleTenant, 4_000)
-            .assert_identical();
+        let (kind, policy, shape) =
+            (WorkloadKind::Gups, PolicyKind::FirstTouch, DiffShape::SingleTenant);
+        let run = || digest_case(kind, policy, shape, 4_000, None);
+        assert_eq!(run(), run());
     }
 }

@@ -58,60 +58,10 @@ pub struct SimConfig {
     /// contract), so this never needs sweeping — 1 recovers the
     /// event-at-a-time seed path for debugging.
     pub batch_size: usize,
-    /// How the engine executes each event batch. Purely a host-side
-    /// execution strategy: both modes produce bit-identical simulated
-    /// results (the `differential` suite holds this), so this never
-    /// needs sweeping — [`PipelineMode::Serial`] recovers the
-    /// event-at-a-time reference path for debugging and differential
-    /// testing.
-    pub pipeline: PipelineMode,
     /// Deterministic fault timeline the engine executes on the virtual
     /// clock. The default empty plan models a healthy machine and is
     /// guaranteed bit-identical to the pre-fault-layer engine.
     pub faults: FaultPlan,
-}
-
-/// How the engine turns a batch of workload events into machine steps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PipelineMode {
-    /// Stage-by-stage over deadline-safe chunks of the batch buffer:
-    /// one pass for TLB + page-table work, one for the cache
-    /// hierarchy, one fused timing pass for memory traffic and the
-    /// policy hook. Chunks are sized so no tick, sample, fault or stop
-    /// deadline can land inside one; anything else falls back to the
-    /// serial path, keeping results bit-identical to it.
-    #[default]
-    Staged,
-    /// The event-at-a-time reference path: each access runs all four
-    /// machine phases before the next one starts.
-    Serial,
-}
-
-impl PipelineMode {
-    /// The process-wide default mode: [`PipelineMode::Staged`], or the
-    /// serial reference path when `NEOMEM_PIPELINE=serial` is set —
-    /// the engine-execution analogue of `batch_size = 1`. Results are
-    /// bit-identical either way (the `differential` suite holds this);
-    /// the knob exists so before/after wall-clock comparisons and
-    /// bisections can force the reference path without a rebuild.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognised value — a misspelling must not
-    /// silently measure the wrong engine.
-    pub fn from_env() -> Self {
-        static MODE: std::sync::OnceLock<PipelineMode> = std::sync::OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var("NEOMEM_PIPELINE") {
-            Err(_) => PipelineMode::Staged,
-            Ok(value) => match value.trim().to_ascii_lowercase().as_str() {
-                "" | "staged" => PipelineMode::Staged,
-                "serial" => PipelineMode::Serial,
-                _ => panic!(
-                    "unrecognised NEOMEM_PIPELINE value {value:?}: expected serial or staged"
-                ),
-            },
-        })
-    }
 }
 
 impl SimConfig {
@@ -136,7 +86,6 @@ impl SimConfig {
             tick_quantum: Nanos::from_micros(100),
             sample_interval: Nanos::from_millis(1),
             batch_size: 256,
-            pipeline: PipelineMode::from_env(),
             faults: FaultPlan::empty(),
         }
     }

@@ -31,7 +31,7 @@ use neomem_types::json::{hex_from_u64s, Json};
 use neomem_types::{Error, Nanos, Result};
 use neomem_workloads::Workload;
 
-use crate::config::{PipelineMode, SimConfig};
+use crate::config::SimConfig;
 use crate::corun::CoRunConfig;
 use crate::report::{MarkerRecord, TimelinePoint};
 
@@ -56,7 +56,7 @@ pub(crate) const KIND_CORUN: &str = "corun";
 /// FNV-1a over a string: the configuration fingerprint hash. Stable,
 /// dependency-free, and plenty for mismatch *detection* (fingerprints
 /// gate restores; they are not security boundaries).
-pub(crate) fn fingerprint_str(s: &str) -> u64 {
+pub fn fingerprint_str(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.as_bytes() {
         h ^= u64::from(*b);
@@ -73,8 +73,7 @@ pub(crate) fn fingerprint_str(s: &str) -> u64 {
 pub(crate) fn sim_fingerprint(config: &SimConfig) -> u64 {
     let mut c = config.clone();
     c.batch_size = 0;
-    c.pipeline = PipelineMode::default();
-    fingerprint_str(&strip_pipeline(&format!("{c:?}")))
+    fingerprint_str(&format!("{c:?}"))
 }
 
 /// The co-run counterpart of [`sim_fingerprint`]: additionally covers
@@ -82,16 +81,7 @@ pub(crate) fn sim_fingerprint(config: &SimConfig) -> u64 {
 pub(crate) fn corun_fingerprint(config: &CoRunConfig) -> u64 {
     let mut c = config.clone();
     c.sim.batch_size = 0;
-    c.sim.pipeline = PipelineMode::default();
-    fingerprint_str(&strip_pipeline(&format!("{c:?}")))
-}
-
-/// Removes the (normalised) pipeline-mode field from a hashed config
-/// Debug string. The mode is host-side execution strategy, not machine
-/// shape — both modes produce bit-identical results — and stripping it
-/// keeps version-1 fingerprints, which predate the field, restorable.
-fn strip_pipeline(debug: &str) -> String {
-    debug.replace(", pipeline: Staged", "")
+    fingerprint_str(&format!("{c:?}"))
 }
 
 /// Wraps `state` in the versioned snapshot envelope.
@@ -403,6 +393,16 @@ mod tests {
             ("label", Json::Str("not-a-real-label".to_string())),
         ]);
         assert!(marker_from_json(&bogus).is_err());
+    }
+
+    #[test]
+    fn preset_fingerprints_are_pinned() {
+        // Snapshot files written by earlier builds carry these values
+        // in their envelopes; a fingerprint that moves strands them.
+        let sim = SimConfig::quick(4096, 2);
+        let corun = CoRunConfig { fast_share_cap: Some(1.5), ..CoRunConfig::new(sim.clone()) };
+        assert_eq!(sim_fingerprint(&sim), 3_847_118_181_705_120_135);
+        assert_eq!(corun_fingerprint(&corun), 5_003_514_850_138_771_004);
     }
 
     #[test]

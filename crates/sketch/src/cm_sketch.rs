@@ -193,35 +193,6 @@ impl CmSketch {
         min
     }
 
-    /// Records one access per page of `pages`, filling `estimates` with
-    /// the per-page updated estimate (same values [`update`](Self::update)
-    /// would have returned, in order).
-    ///
-    /// The updates run *lane-major*: all of lane 0's counter bumps and
-    /// valid-bit writes over the contiguous lane words, then lane 1's,
-    /// and so on. Lanes are disjoint counter ranges, so per-lane program
-    /// order is all that counter evolution depends on — the batched
-    /// schedule produces bit-identical counters, valid bits and
-    /// estimates to per-page updates, while touching one lane's memory
-    /// at a time.
-    pub fn update_batch(&mut self, pages: &[DevicePage], estimates: &mut Vec<u16>) {
-        estimates.clear();
-        estimates.resize(pages.len(), u16::MAX);
-        self.stream_len += pages.len() as u64;
-        let width = self.params.width;
-        let Self { hashes, counters, valid, .. } = self;
-        for (lane, h) in hashes.iter().enumerate() {
-            let base = lane * width;
-            for (est, page) in estimates.iter_mut().zip(pages) {
-                let flat = base + h.hash(page.index()) as usize;
-                let cur = if valid.test_and_set(flat) { counters[flat] } else { 0 };
-                let next = cur.saturating_add(1);
-                counters[flat] = next;
-                *est = (*est).min(next);
-            }
-        }
-    }
-
     /// Returns the current frequency estimate without updating (Eq. 2).
     pub fn estimate(&self, page: DevicePage) -> u16 {
         self.lane_indices(page).iter().map(|flat| self.counter_at(flat)).min().unwrap_or(0)
@@ -497,27 +468,6 @@ mod tests {
                 let naive = crate::CounterHistogram::from_counters(s.lane_counters(lane));
                 assert_eq!(s.lane_histogram(lane), naive, "lane {lane} of {params:?}");
             }
-        }
-    }
-
-    #[test]
-    fn batched_updates_match_serial() {
-        let params = SketchParams::small();
-        let mut serial = CmSketch::new(params).unwrap();
-        let mut batched = CmSketch::new(params).unwrap();
-        let pages: Vec<DevicePage> = (0..1000u64).map(|i| page(i * 37 % 211)).collect();
-        let serial_ests: Vec<u16> = pages.iter().map(|&p| serial.update(p)).collect();
-        let mut ests = Vec::new();
-        let mut all = Vec::new();
-        // Uneven chunk sizes exercise batch tails.
-        for chunk in pages.chunks(17) {
-            batched.update_batch(chunk, &mut ests);
-            all.extend_from_slice(&ests);
-        }
-        assert_eq!(all, serial_ests, "per-page estimates must match");
-        assert_eq!(batched.stream_len(), serial.stream_len());
-        for i in 0..300u64 {
-            assert_eq!(batched.estimate(page(i)), serial.estimate(page(i)), "page {i}");
         }
     }
 

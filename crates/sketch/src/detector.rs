@@ -57,9 +57,6 @@ pub struct HotPageDetector {
     stats: DetectorStats,
     /// `Some` in the external-Bloom ablation mode.
     bloom: Option<BloomFilter>,
-    /// Reused per-page estimate lane for [`Self::observe_batch`];
-    /// scratch only, never snapshotted.
-    batch_estimates: Vec<u16>,
 }
 
 impl HotPageDetector {
@@ -98,7 +95,6 @@ impl HotPageDetector {
             capacity,
             stats: DetectorStats::default(),
             bloom,
-            batch_estimates: Vec::new(),
         })
     }
 
@@ -145,45 +141,6 @@ impl HotPageDetector {
         self.stats.detected += 1;
         self.buffer.push(page);
         Some(page)
-    }
-
-    /// Processes a batch of observed page accesses; returns how many
-    /// produced *new* hot-page reports.
-    ///
-    /// The sketch updates run lane-major over the whole batch first
-    /// ([`CmSketch::update_batch`], bit-identical counters and per-page
-    /// estimates to the per-page schedule); the threshold compare, the
-    /// duplicate filter and the buffer push then run per page in batch
-    /// order — exactly the tail of [`Self::observe`]. The sketch update
-    /// is the only mutation `observe`'s head makes, so detector state
-    /// and the report sequence match per-page observation bit for bit.
-    pub fn observe_batch(&mut self, pages: &[DevicePage]) -> u64 {
-        self.stats.observed += pages.len() as u64;
-        let mut estimates = std::mem::take(&mut self.batch_estimates);
-        self.sketch.update_batch(pages, &mut estimates);
-        let mut reported = 0;
-        for (&page, &estimate) in pages.iter().zip(&estimates) {
-            if estimate <= self.threshold {
-                continue;
-            }
-            let duplicate = match &mut self.bloom {
-                None => self.sketch.test_and_set_hot(page),
-                Some(bloom) => bloom.test_and_set(page),
-            };
-            if duplicate {
-                self.stats.filtered_duplicates += 1;
-                continue;
-            }
-            if self.buffer.len() >= self.capacity {
-                self.stats.buffer_overflows += 1;
-                continue;
-            }
-            self.stats.detected += 1;
-            self.buffer.push(page);
-            reported += 1;
-        }
-        self.batch_estimates = estimates;
-        reported
     }
 
     /// Number of hot pages waiting in the output buffer
@@ -413,32 +370,5 @@ mod tests {
     fn zero_threshold_reports_first_touch() {
         let mut d = detector(0);
         assert!(d.observe(DevicePage::new(8)).is_some(), "estimate 1 > θ=0");
-    }
-
-    #[test]
-    fn observe_batch_matches_per_page_observe() {
-        for filter in [FilterKind::HotBits, FilterKind::ExternalBloom] {
-            let params = SketchParams { hot_buffer_entries: 8, ..SketchParams::small() };
-            let mut serial = HotPageDetector::with_filter(params, filter).unwrap();
-            let mut batched = HotPageDetector::with_filter(params, filter).unwrap();
-            serial.set_threshold(2);
-            batched.set_threshold(2);
-            let pages: Vec<DevicePage> =
-                (0..600u64).map(|i| DevicePage::new(i * 13 % 23)).collect();
-            let mut serial_reports = 0;
-            for &p in &pages {
-                serial_reports += u64::from(serial.observe(p).is_some());
-            }
-            let mut batched_reports = 0;
-            // Uneven batches exercise the lane-major tail handling.
-            for chunk in pages.chunks(31) {
-                batched_reports += batched.observe_batch(chunk);
-            }
-            assert_eq!(batched_reports, serial_reports, "{filter:?}");
-            assert_eq!(batched.stats(), serial.stats(), "{filter:?}");
-            let a: Vec<_> = serial.drain_hot_pages().collect();
-            let b: Vec<_> = batched.drain_hot_pages().collect();
-            assert_eq!(a, b, "{filter:?}: report order must match");
-        }
     }
 }
