@@ -106,6 +106,13 @@ pub struct Kernel {
     /// needed to translate NeoProf's device page reports back to pages
     /// the migration API understands).
     rmap: Vec<Option<VirtPage>>,
+    /// First virtual page of each tenant's namespace, strictly
+    /// increasing from 0 (`[0]` on a single-tenant machine).
+    tenant_bases: Vec<u64>,
+    /// Fast-tier pages per tenant, kept in step with the rmap at every
+    /// site that changes it. Derived state: never serialised, rebuilt
+    /// by [`Kernel::restore`] and [`Kernel::set_tenant_bases`].
+    fast_pages: Vec<u64>,
     /// Rotating cursor for LRU-free victim selection (ablation).
     arbitrary_cursor: u64,
 }
@@ -127,8 +134,51 @@ impl Kernel {
             costs: config.costs,
             stats: KernelStats::default(),
             rmap: vec![None; total_frames],
+            tenant_bases: vec![0],
+            fast_pages: vec![0],
             arbitrary_cursor: 0,
         }
+    }
+
+    /// Partitions the virtual address space into tenants: tenant `t`
+    /// owns the pages from `bases[t]` up to the next base (the last
+    /// tenant owns everything above its base). Recounts
+    /// [`Kernel::fast_pages_per_tenant`] once under the new partition
+    /// (a sweep of the fast tier, skipped while it holds no pages).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] when `bases` is empty, does not
+    /// start at 0 or is not strictly increasing; the kernel is left
+    /// unchanged.
+    pub fn set_tenant_bases(&mut self, bases: Vec<u64>) -> Result<()> {
+        if bases.first() != Some(&0) || bases.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(Error::invalid_config(
+                "tenant bases must be non-empty, start at 0 and be strictly increasing",
+            ));
+        }
+        let mut fast_pages = vec![0; bases.len()];
+        // Machines install their bases before the first access; only a
+        // kernel that already holds fast pages needs the sweep.
+        if self.fast_pages.iter().any(|&n| n > 0) {
+            for &vpage in self.fast_rmap().iter().flatten() {
+                fast_pages[tenant_of(&bases, vpage)] += 1;
+            }
+        }
+        self.tenant_bases = bases;
+        self.fast_pages = fast_pages;
+        Ok(())
+    }
+
+    /// The tenant bases installed by [`Kernel::set_tenant_bases`].
+    pub fn tenant_bases(&self) -> &[u64] {
+        &self.tenant_bases
+    }
+
+    /// Fast-tier pages held by each tenant, in tenant order. O(1): the
+    /// counts are maintained on every allocation and migration.
+    pub fn fast_pages_per_tenant(&self) -> &[u64] {
+        &self.fast_pages
     }
 
     /// Reverse-maps a physical frame to the virtual page it backs.
@@ -187,6 +237,8 @@ impl Kernel {
         self.rmap[frame.index() as usize] = Some(vpage);
         self.stats.minor_faults += 1;
         if self.memory.tier_of(frame).is_fast() {
+            let t = tenant_of(&self.tenant_bases, vpage);
+            self.fast_pages[t] += 1;
             self.lru.insert(vpage);
         }
         Ok(frame)
@@ -339,6 +391,14 @@ impl Kernel {
         self.memory.free(old_frame);
         self.rmap[old_frame.index() as usize] = None;
         self.rmap[new_frame.index() as usize] = Some(vpage);
+        if src_tier.is_fast() != dst_tier.is_fast() {
+            let t = tenant_of(&self.tenant_bases, vpage);
+            if src_tier.is_fast() {
+                self.fast_pages[t] -= 1;
+            } else {
+                self.fast_pages[t] += 1;
+            }
+        }
         // The copy streams through migration kthreads: source read and
         // destination write overlap, so the slower channel dominates;
         // only the configured fraction lands on the app's critical path
@@ -356,8 +416,9 @@ impl Kernel {
 
     /// The reverse map of the fast tier, frame-indexed: `rmap[f]` is the
     /// virtual page backed by fast frame `f`, or `None` while the frame
-    /// is free. Lets occupancy accounting sweep the fast tier as one
-    /// dense slice instead of per-frame lookups.
+    /// is free. Occupancy reads go through
+    /// [`Kernel::fast_pages_per_tenant`]; a sweep of this slice is the
+    /// oracle those counters are checked against.
     pub fn fast_rmap(&self) -> &[Option<VirtPage>] {
         &self.rmap[..self.memory.slow_base().index() as usize]
     }
@@ -420,7 +481,9 @@ impl Kernel {
     }
 
     /// Restores [`Kernel::snapshot`] state onto a kernel built with the
-    /// same configuration, rebuilding the rmap from the page table.
+    /// same configuration, rebuilding the rmap from the page table and
+    /// the per-tenant fast-page counts (under the installed tenant
+    /// bases) in the same pass.
     ///
     /// # Errors
     ///
@@ -444,6 +507,8 @@ impl Kernel {
         };
         self.arbitrary_cursor = snap.req_u64("arbitrary_cursor")?;
         self.rmap.fill(None);
+        self.fast_pages.fill(0);
+        let slow_base = self.memory.slow_base().index() as usize;
         for (vpage, pte) in self.page_table.iter() {
             let idx = pte.frame.index() as usize;
             let slot = self.rmap.get_mut(idx).ok_or_else(|| {
@@ -453,9 +518,19 @@ impl Kernel {
                 return Err(Error::snapshot(format!("frame {} backs two virtual pages", pte.frame)));
             }
             *slot = Some(vpage);
+            if idx < slow_base {
+                let t = tenant_of(&self.tenant_bases, vpage);
+                self.fast_pages[t] += 1;
+            }
         }
         Ok(())
     }
+}
+
+/// The tenant owning `vpage` under `bases`: the last one whose base is
+/// ≤ the page index.
+fn tenant_of(bases: &[u64], vpage: VirtPage) -> usize {
+    bases.partition_point(|&b| b <= vpage.index()) - 1
 }
 
 #[cfg(test)]
@@ -646,5 +721,24 @@ mod rmap_tests {
         assert_eq!(k.vpage_of(f0), None, "old frame unmapped");
         assert_eq!(k.vpage_of(f1), Some(vp));
         assert_eq!(k.vpage_of(PageNum::new(5)), None);
+    }
+}
+
+#[cfg(test)]
+mod tenant_base_tests {
+    use super::*;
+
+    #[test]
+    fn bad_tenant_bases_are_rejected_without_change() {
+        let mut k = Kernel::new(KernelConfig::with_frames(2, 4));
+        k.touch_alloc(VirtPage::new(3), Nanos::ZERO).unwrap();
+        for bad in [vec![], vec![1, 2], vec![0, 0], vec![0, 4, 2]] {
+            assert!(
+                matches!(k.set_tenant_bases(bad.clone()), Err(Error::InvalidConfig { .. })),
+                "{bad:?} accepted"
+            );
+        }
+        assert_eq!(k.tenant_bases(), &[0]);
+        assert_eq!(k.fast_pages_per_tenant(), &[1]);
     }
 }

@@ -144,11 +144,12 @@ pub struct NeoMemPolicy {
 #[derive(Debug)]
 struct TenancyState {
     layout: TenantLayout,
-    /// Fast-tier occupancy per tenant, refreshed from the kernel's
-    /// reverse map at each migration tick. Promotions performed inside
-    /// the tick update the counts incrementally; concurrent demotions
-    /// are picked up by the next refresh, which keeps the fairness gate
-    /// slightly conservative between refreshes.
+    /// Fast-tier occupancy per tenant: a copy of the kernel's
+    /// per-tenant fast-page counters taken at each migration tick, an
+    /// O(tenants) read. Promotions performed inside the tick add to the
+    /// copy one by one; demotions inside the tick (headroom evictions)
+    /// show up only at the next tick's copy, which keeps the fairness
+    /// gate slightly conservative between ticks.
     fast_counts: Vec<u64>,
     /// Accumulated cross-tenant-eviction pages per tenant (the
     /// aggression score behind the `NeoMem-CA` quota penalty). Fed by
@@ -166,7 +167,8 @@ struct TenancyState {
 }
 
 impl TenancyState {
-    /// Recounts each tenant's fast-tier pages from the kernel rmap.
+    /// Re-reads each tenant's fast-tier page count from the kernel's
+    /// counters.
     fn refresh(&mut self, kernel: &Kernel) {
         self.layout.count_fast_pages(kernel, &mut self.fast_counts);
     }
@@ -583,8 +585,8 @@ impl TieringPolicy for NeoMemPolicy {
 
     fn on_tenant_departure(&mut self, tenant: usize) {
         // A departed tenant's history must not throttle it when (and
-        // if) it re-arrives; its occupancy count is refreshed from the
-        // rmap at the next migration tick anyway.
+        // if) it re-arrives; its occupancy count is re-read from the
+        // kernel's counters at the next migration tick anyway.
         if let Some(state) = &mut self.tenancy {
             if let Some(a) = state.aggression.get_mut(tenant) {
                 *a = 0;
@@ -965,6 +967,7 @@ mod tenancy_tests {
         )
         .unwrap();
         let layout = TenantLayout::new(vec![0, 18], vec![1, 1], Some(1.0)).unwrap();
+        kernel.set_tenant_bases(layout.bases().to_vec()).unwrap();
         policy.configure_tenants(&layout);
         policy.maybe_tick(&mut kernel, Nanos::ZERO);
         // Hammer four of tenant 1's slow pages: only two may come up.
@@ -1012,6 +1015,7 @@ mod tenancy_tests {
         // under one huge region, after the first region promotes
         // partially (fast tier has only 256 frames anyway).
         let layout = TenantLayout::new(vec![0, 2048], vec![1, 1], Some(1.0)).unwrap();
+        kernel.set_tenant_bases(layout.bases().to_vec()).unwrap();
         policy.configure_tenants(&layout);
         policy.maybe_tick(&mut kernel, Nanos::ZERO);
         // Hammer hot pages in two different huge regions of tenant 1.
@@ -1067,6 +1071,7 @@ mod tenancy_tests {
         )
         .unwrap();
         let layout = TenantLayout::new(vec![0, 18], vec![1, 1], None).unwrap();
+        kernel.set_tenant_bases(layout.bases().to_vec()).unwrap();
         policy.configure_tenants(&layout);
         policy.maybe_tick(&mut kernel, Nanos::ZERO);
         hammer(&mut policy, &mut kernel, 20); // tenant 1's page
@@ -1123,6 +1128,7 @@ mod contention_tests {
 
     fn setup_kernel() -> Kernel {
         let mut kernel = Kernel::new(KernelConfig::with_frames(4, 36));
+        kernel.set_tenant_bases(vec![0, 18]).unwrap();
         for p in 0..36 {
             kernel.touch_alloc(VirtPage::new(p), Nanos::ZERO).unwrap();
         }

@@ -91,24 +91,46 @@ impl TenantLayout {
         })
     }
 
-    /// Counts each tenant's fast-tier pages from the kernel's reverse
-    /// map into `out` (one slot per tenant, overwritten). The single
-    /// source of truth for occupancy accounting — the co-run engine's
-    /// attribution and NeoMem's fairness gate both use it, so they can
-    /// never diverge.
+    /// The first global page of each tenant's namespace, in tenant
+    /// order.
+    pub fn bases(&self) -> &[u64] {
+        &self.bases
+    }
+
+    /// Copies each tenant's fast-tier page count into `out` (one slot
+    /// per tenant, overwritten). The counts are the kernel's own
+    /// [`Kernel::fast_pages_per_tenant`](neomem_kernel::Kernel::fast_pages_per_tenant),
+    /// kept up to date at every allocation and migration, so a read
+    /// costs O(tenants). The co-run engine's attribution and NeoMem's
+    /// fairness gate both read occupancy here, so they can never
+    /// diverge. The kernel must carry this layout's bases
+    /// ([`Kernel::set_tenant_bases`](neomem_kernel::Kernel::set_tenant_bases)).
+    ///
+    /// Debug builds check the counts against a full sweep of the fast
+    /// tier's reverse map.
     ///
     /// # Panics
     ///
     /// Panics when `out` is shorter than the tenant count.
     pub fn count_fast_pages(&self, kernel: &neomem_kernel::Kernel, out: &mut [u64]) {
         assert!(out.len() >= self.tenant_count(), "occupancy buffer too short");
-        out.iter_mut().for_each(|c| *c = 0);
-        // One dense sweep of the fast tier's reverse map. With tenant
-        // bases sorted, `partition_point` over the handful of bases is
-        // branch-predictable; the sweep itself is bounds-check-free.
-        for vpage in kernel.fast_rmap().iter().copied().flatten() {
-            out[self.tenant_of(vpage)] += 1;
+        debug_assert_eq!(kernel.tenant_bases(), self.bases(), "kernel tenant bases differ");
+        let counts = kernel.fast_pages_per_tenant();
+        out.fill(0);
+        out[..counts.len()].copy_from_slice(counts);
+        debug_assert_eq!(&out[..counts.len()], self.sweep_fast_pages(kernel).as_slice());
+    }
+
+    /// The occupancy oracle: each tenant's fast-tier pages counted by
+    /// one sweep of the fast tier's reverse map. O(fast frames), so it
+    /// serves only as the reference that debug assertions and tests
+    /// check [`TenantLayout::count_fast_pages`] against.
+    pub fn sweep_fast_pages(&self, kernel: &neomem_kernel::Kernel) -> Vec<u64> {
+        let mut counts = vec![0; self.tenant_count()];
+        for &vpage in kernel.fast_rmap().iter().flatten() {
+            counts[self.tenant_of(vpage)] += 1;
         }
+        counts
     }
 }
 

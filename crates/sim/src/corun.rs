@@ -37,10 +37,13 @@
 //! Slices run one tenant at a time, so per-tenant metrics are exact
 //! deltas of the shared counters around each slice: memory-node
 //! traffic, migrations, faults and elapsed virtual time are charged to
-//! the tenant whose slice produced them. Fast-tier occupancy is scanned
-//! at every slice boundary, which also exposes *cross-tenant
+//! the tenant whose slice produced them. Fast-tier occupancy is read at
+//! every slice boundary from the kernel's per-tenant fast-page counters
+//! ([`neomem_kernel::Kernel::fast_pages_per_tenant`], kept up to date
+//! at every allocation and migration), so each read costs O(tenants)
+//! whatever the footprint. The reads also expose *cross-tenant
 //! evictions*: the net fast-tier occupancy an idle tenant lost while
-//! another tenant's slice ran. Net, because the scans see occupancy,
+//! another tenant's slice ran. Net, because the reads see occupancy,
 //! not individual migrations — a slice that demotes three of an idle
 //! tenant's pages and promotes two of them back counts one; the
 //! number is a lower bound on gross cross-tenant demotions.
@@ -135,7 +138,7 @@ struct Lane {
     markers: u64,
     evicted_by_others: u64,
     evictions_caused: u64,
-    /// Sum of fast-tier occupancy over slice-boundary scans.
+    /// Sum of fast-tier occupancy over slice-boundary reads.
     occupancy_sum: u64,
 }
 
@@ -280,7 +283,8 @@ impl CoRunSimulation {
         }
         let layout = TenantLayout::new(mix.bases(), mix.weights(), config.fast_share_cap)?;
         policy.configure_tenants(&layout);
-        let machine = Machine::new(config.sim.clone(), policy)?;
+        let mut machine = Machine::new(config.sim.clone(), policy)?;
+        machine.kernel.set_tenant_bases(mix.bases())?;
         let lanes = mix
             .tenants()
             .iter()
@@ -320,11 +324,13 @@ impl CoRunSimulation {
         })
     }
 
-    /// Counts each tenant's fast-tier pages into `out`, through the
+    /// Reads each tenant's fast-tier page count into `out`, through the
     /// same [`TenantLayout::count_fast_pages`] NeoMem's fairness gate
-    /// uses — one counting rule, shared.
-    fn scan_occupancy(machine: &Machine, layout: &TenantLayout, out: &mut [u64]) {
+    /// uses — one counting rule, shared, at O(tenants) per read.
+    fn read_occupancy(machine: &Machine, layout: &TenantLayout, out: &mut [u64]) {
         layout.count_fast_pages(&machine.kernel, out);
+        #[cfg(test)]
+        tests::record_read(machine, layout, out);
     }
 
     /// Demotes every fast-resident page of `lane` through the normal
@@ -339,15 +345,19 @@ impl CoRunSimulation {
         lane: usize,
         now: Nanos,
     ) -> Nanos {
-        let fast_frames = machine.kernel.memory().slow_base().index();
-        let mut pages = Vec::new();
-        for frame in 0..fast_frames {
-            if let Some(vpage) = machine.kernel.vpage_of(neomem_types::PageNum::new(frame)) {
-                if layout.tenant_of(vpage) == lane {
-                    pages.push(vpage);
-                }
-            }
-        }
+        // Collect the lane's pages in ascending frame order. The sweep
+        // stops once the kernel's count of them is reached, and never
+        // starts for a lane without fast pages.
+        let owned = machine.kernel.fast_pages_per_tenant()[lane] as usize;
+        let pages: Vec<VirtPage> = machine
+            .kernel
+            .fast_rmap()
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|&vpage| layout.tenant_of(vpage) == lane)
+            .take(owned)
+            .collect();
         let mut elapsed = Nanos::ZERO;
         for vpage in pages {
             if let Ok(t) = machine.kernel.demote(vpage, now + elapsed) {
@@ -471,7 +481,7 @@ impl CoRunSimulation {
     fn fresh_state(&self) -> CoRunState {
         let tenant_count = self.lanes.len();
         let mut occ_before = vec![0u64; tenant_count];
-        Self::scan_occupancy(&self.machine, &self.layout, &mut occ_before);
+        Self::read_occupancy(&self.machine, &self.layout, &mut occ_before);
         CoRunState {
             clock: Nanos::ZERO,
             accesses: 0,
@@ -523,9 +533,9 @@ impl CoRunSimulation {
         let mut next_deadline = earliest_deadline(state.next_tick, state.next_sample, limit)
             .min(self.machine.faults.deadline());
 
-        // Slice-boundary occupancy scans: `state.occ_before` holds the
-        // scan entering the current slice, `occ_after` is the fresh
-        // scan at its end (and becomes the next slice's `before`).
+        // Slice-boundary occupancy reads: `state.occ_before` holds the
+        // read entering the current slice, `occ_after` is the fresh
+        // read at its end (and becomes the next slice's `before`).
         let mut occ_after = vec![0u64; tenant_count];
         let mut stopped = false;
 
@@ -583,10 +593,10 @@ impl CoRunSimulation {
                         l.ping_pongs += kernel.ping_pongs - kernel_before.ping_pongs;
                         l.minor_faults += kernel.minor_faults - kernel_before.minor_faults;
                     }
-                    // The occupancy baseline moved: rescan so the next
+                    // The occupancy baseline moved: re-read it so the next
                     // slice's cross-tenant accounting cannot blame its
                     // tenant for the departure reclaim.
-                    Self::scan_occupancy(&self.machine, &self.layout, &mut state.occ_before);
+                    Self::read_occupancy(&self.machine, &self.layout, &mut state.occ_before);
                     if let Some(mark) = state.open_epochs[lane].take() {
                         epochs_push_closed(
                             &mut state.epochs,
@@ -631,7 +641,7 @@ impl CoRunSimulation {
                     let mut ticked = false;
                     // Fault edges fire first, exactly as in the slice
                     // slow path; a capacity-loss edge migrates pages,
-                    // so it forces the same baseline rescan a tick
+                    // so it forces the same baseline re-read a tick
                     // does.
                     if state.clock >= self.machine.faults.deadline() {
                         state.clock += self.machine.fault_tick(state.clock, state.accesses);
@@ -650,7 +660,7 @@ impl CoRunSimulation {
                             state.window_start,
                         ));
                         let mut fast_pages = vec![0u64; tenant_count];
-                        Self::scan_occupancy(&self.machine, &self.layout, &mut fast_pages);
+                        Self::read_occupancy(&self.machine, &self.layout, &mut fast_pages);
                         state
                             .occupancy_timeline
                             .push(OccupancyPoint { at: state.clock, fast_pages });
@@ -660,10 +670,10 @@ impl CoRunSimulation {
                     }
                     if ticked {
                         // The idle-gap tick may have migrated pages:
-                        // rescan the baseline so the next slice's
+                        // re-read the baseline so the next slice's
                         // tenant isn't blamed for occupancy that moved
                         // while nobody ran.
-                        Self::scan_occupancy(&self.machine, &self.layout, &mut state.occ_before);
+                        Self::read_occupancy(&self.machine, &self.layout, &mut state.occ_before);
                     }
                     next_deadline = earliest_deadline(state.next_tick, state.next_sample, limit)
                         .min(self.machine.faults.deadline());
@@ -745,7 +755,7 @@ impl CoRunSimulation {
                                 state.window_start,
                             ));
                             let mut fast_pages = vec![0u64; tenant_count];
-                            Self::scan_occupancy(&self.machine, &self.layout, &mut fast_pages);
+                            Self::read_occupancy(&self.machine, &self.layout, &mut fast_pages);
                             state
                                 .occupancy_timeline
                                 .push(OccupancyPoint { at: state.clock, fast_pages });
@@ -772,18 +782,7 @@ impl CoRunSimulation {
                 let slow = self.machine.kernel.memory().node(Tier::Slow).stats();
                 let fast = self.machine.kernel.memory().node(Tier::Fast).stats();
                 let kernel = self.machine.kernel.stats();
-                // Fast-tier occupancy only moves through allocations,
-                // promotions and demotions, so a slice without any of
-                // those keeps the previous scan — most steady-state
-                // slices skip the O(fast-capacity) rmap walk entirely.
-                let occupancy_moved = kernel.promotions != kernel_before.promotions
-                    || kernel.demotions != kernel_before.demotions
-                    || kernel.minor_faults != kernel_before.minor_faults;
-                if occupancy_moved {
-                    Self::scan_occupancy(&self.machine, &self.layout, &mut occ_after);
-                } else {
-                    occ_after.copy_from_slice(&state.occ_before);
-                }
+                Self::read_occupancy(&self.machine, &self.layout, &mut occ_after);
                 {
                     let lane = &mut self.lanes[lane_idx];
                     lane.accesses += state.accesses - accesses_before;
@@ -860,8 +859,8 @@ impl CoRunSimulation {
         }
         epochs.sort_by_key(|e| (e.tenant, e.epoch));
 
-        // `occ_before` holds the final scan (the slice loop swaps the
-        // fresh scan into it at every boundary).
+        // `occ_before` holds the final read (the slice loop swaps the
+        // fresh read into it at every boundary).
         let final_occupancy = occ_before;
         let tenants = self
             .lanes
@@ -947,8 +946,8 @@ struct CoRunState {
     occupancy_timeline: Vec<OccupancyPoint>,
     window_accesses: u64,
     window_start: Nanos,
-    /// The occupancy scan entering the current slice (and, at run end,
-    /// the final scan).
+    /// The occupancy read entering the current slice (and, at run end,
+    /// the final read).
     occ_before: Vec<u64>,
     rounds: u64,
     slices: u64,
@@ -1244,7 +1243,7 @@ pub struct TenantRunReport {
     pub evictions_caused: u64,
     /// Fast-tier pages the tenant held at the end of the run.
     pub final_fast_pages: u64,
-    /// Mean share of the fast tier held across slice-boundary scans,
+    /// Mean share of the fast tier held across slice-boundary reads,
     /// in `[0, 1]`.
     pub mean_fast_share: f64,
 }
@@ -1395,6 +1394,96 @@ mod tests {
     use super::*;
     use neomem_policies::FirstTouchPolicy;
     use neomem_workloads::WorkloadKind;
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// Every occupancy read the engine made on this thread, in
+        /// order: the counters it read and a full rmap sweep taken at
+        /// the same instant.
+        static READS: RefCell<Vec<(Vec<u64>, Vec<u64>)>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// Logs one engine read beside the sweep oracle.
+    pub(super) fn record_read(machine: &Machine, layout: &TenantLayout, read: &[u64]) {
+        let swept = layout.sweep_fast_pages(&machine.kernel);
+        READS.with(|r| r.borrow_mut().push((read.to_vec(), swept)));
+    }
+
+    /// Runs `sim` and checks every occupancy number in its report
+    /// against the sweep oracle: each read equals the sweep at that
+    /// instant, every timeline point is one of those reads (in order),
+    /// and so is each tenant's final count.
+    fn run_against_sweep_oracle(sim: CoRunSimulation) -> CoRunReport {
+        READS.with(|r| r.borrow_mut().clear());
+        let report = sim.run();
+        let reads = READS.with(|r| std::mem::take(&mut *r.borrow_mut()));
+        let timeline = &report.contention.occupancy_timeline;
+        assert!(reads.len() as u64 >= report.contention.slices + timeline.len() as u64);
+        for (i, (read, swept)) in reads.iter().enumerate() {
+            assert_eq!(read, swept, "read {i} disagrees with the rmap sweep");
+        }
+        let mut rest = reads.iter().map(|(read, _)| read);
+        for point in timeline {
+            assert!(
+                rest.any(|read| *read == point.fast_pages),
+                "timeline point at {} is not an oracle-checked read",
+                point.at
+            );
+        }
+        let last = &reads.last().expect("the engine reads occupancy").0;
+        for t in &report.tenants {
+            assert_eq!(t.final_fast_pages, last[t.tenant], "tenant {}", t.tenant);
+        }
+        report
+    }
+
+    fn neomem(config: &CoRunConfig) -> PolicyBox {
+        let slow_base = config.sim.memory_config().fast.capacity_frames;
+        let dev = neomem_neoprof::NeoProfConfig::small(neomem_types::PageNum::new(slow_base));
+        neomem_policies::NeoMemPolicy::new(
+            dev,
+            neomem_profilers::NeoProfDriverConfig::default(),
+            neomem_policies::NeoMemParams::scaled(1000),
+        )
+        .unwrap()
+        .into()
+    }
+
+    #[test]
+    fn occupancy_matches_sweep_oracle_across_departure() {
+        use neomem_types::Nanos;
+        let mix = mix_2();
+        let scenario = neomem_workloads::Scenario::builder(mix.clone())
+            .depart(1, Nanos::from_millis(2))
+            .build()
+            .unwrap();
+        let mut config = quick_corun(&mix, u64::MAX / 2);
+        config.sim.max_time = Some(Nanos::from_millis(5));
+        config.fast_share_cap = Some(1.5);
+        let policy = neomem(&config);
+        let report = run_against_sweep_oracle(
+            CoRunSimulation::with_scenario(config, &scenario, policy).unwrap(),
+        );
+        assert!(report.tenants[1].demotions > 0, "the departure reclaimed pages");
+        assert_eq!(report.tenants[1].final_fast_pages, 0);
+        assert!(!report.contention.occupancy_timeline.is_empty());
+    }
+
+    #[test]
+    fn occupancy_matches_sweep_oracle_under_capacity_loss() {
+        use neomem_types::{FaultPlan, Nanos};
+        let mix = mix_2();
+        let mut config = quick_corun(&mix, 120_000);
+        config.sim.faults = FaultPlan::builder()
+            .capacity_loss(Nanos::from_micros(1300), Nanos::from_micros(400), 64)
+            .build()
+            .unwrap();
+        let policy = neomem(&config);
+        let report =
+            run_against_sweep_oracle(CoRunSimulation::new(config, &mix, policy).unwrap());
+        let degradation = report.combined.degradation.expect("the fault fired");
+        assert!(degradation.fault_forced_demotions > 0, "the fault evacuated pages");
+    }
 
     fn mix_2() -> TenantMix {
         TenantMix::builder()
